@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check lint race bench bench-scale bench-json bench-diff bench-gate run-all
+.PHONY: check lint race bench bench-scale bench-ctest bench-json bench-diff bench-gate run-all
 
 # Tier-1 gate: lint (gofmt + vet), build, test, a race pass over the fault
 # plane and its attack-side recovery paths, quick fault-sweep/multiregion/
-# channel-ablation and event-kernel smoke runs, and a smoke run of the
+# channel-ablation, event-kernel and CTest smoke runs, and a smoke run of the
 # benchmark record tooling against the checked-in fixture.
-check: lint bench-scale bench-gate
+check: lint bench-scale bench-ctest bench-gate
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/core/... ./internal/faas/...
@@ -47,6 +47,12 @@ bench:
 bench-scale:
 	@$(GO) test -run '^$$' -bench BenchmarkScaleKernel -benchtime 1x -benchmem
 	@echo "scale kernel smoke OK"
+
+# CTest layer smoke: one iteration of each BenchmarkCTest case (ns/CTest), so
+# the gate notices if the batched contention-vote path breaks.
+bench-ctest:
+	@$(GO) test -run '^$$' -bench BenchmarkCTest -benchtime 1x -benchmem ./internal/core/covert
+	@echo "ctest smoke OK"
 
 # Snapshot the benchmark suite into BENCH_<git-short-sha>.json. Run on a
 # quiet machine; the record is meant to be checked in.

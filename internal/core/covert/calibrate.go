@@ -22,24 +22,19 @@ func Calibrate(base Config, probe *faas.Instance, sampleRounds int) (Config, err
 	if sampleRounds <= 0 {
 		return Config{}, fmt.Errorf("covert: calibration needs sample rounds")
 	}
-	hits := 0
-	for i := 0; i < sampleRounds; i++ {
-		obs, err := faas.ContentionRoundOn(base.Resource, []*faas.Instance{probe})
-		if err != nil {
-			return Config{}, err
-		}
-		// A lone probe observes itself (1) plus background; ≥2 means a
-		// background event (or an actual co-resident pressurer, which the
-		// caller is responsible for excluding).
-		if obs[0] >= 2 {
-			hits++
-		}
+	// A lone probe observes itself (1) plus background; ≥2 means a
+	// background event (or an actual co-resident pressurer, which the caller
+	// is responsible for excluding). Calibration does not advance the clock,
+	// so the whole sample is one batched test.
+	hits, err := faas.ContentionVotesInto(base.Resource, []*faas.Instance{probe}, 2, sampleRounds, nil)
+	if err != nil {
+		return Config{}, err
 	}
-	return deriveThreshold(base, float64(hits)/float64(sampleRounds))
+	return deriveThreshold(base, float64(hits[0])/float64(sampleRounds))
 }
 
 // CalibrateChannel is Calibrate for a pluggable channel primitive: the
-// background rate is sampled through the channel's own round primitive and
+// background rate is sampled through the channel's own test primitive and
 // the threshold derived from the channel's tuned base configuration. For the
 // RNG channel this draws and derives identically to
 // Calibrate(DefaultConfig(), ...).
@@ -47,20 +42,11 @@ func CalibrateChannel(ch Channel, probe *faas.Instance, sampleRounds int) (Confi
 	if sampleRounds <= 0 {
 		return Config{}, fmt.Errorf("covert: calibration needs sample rounds")
 	}
-	hits := 0
-	var obs []int
-	single := []*faas.Instance{probe}
-	for i := 0; i < sampleRounds; i++ {
-		var err error
-		obs, err = ch.Round(single, obs)
-		if err != nil {
-			return Config{}, err
-		}
-		if obs[0] >= 2 {
-			hits++
-		}
+	hits, err := ch.Votes([]*faas.Instance{probe}, 2, sampleRounds, nil)
+	if err != nil {
+		return Config{}, err
 	}
-	return deriveThreshold(ch.Config(), float64(hits)/float64(sampleRounds))
+	return deriveThreshold(ch.Config(), float64(hits[0])/float64(sampleRounds))
 }
 
 // deriveThreshold turns a measured background rate into a calibrated

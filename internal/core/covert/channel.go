@@ -26,6 +26,11 @@ type Channel interface {
 	// Round executes one synchronized contention round among the given
 	// participants, writing observations into out (grown as needed).
 	Round(parts []*faas.Instance, out []int) ([]int, error)
+	// Votes executes a whole test — rounds synchronized rounds at one
+	// instant — writing into out (grown as needed) each participant's count
+	// of rounds observing at least m units. It is byte-identical to counting
+	// over rounds calls of Round.
+	Votes(parts []*faas.Instance, m, rounds int, out []int) ([]int, error)
 }
 
 // resourceChannel is a Channel backed by one faas shared-resource family.
@@ -38,6 +43,9 @@ func (c resourceChannel) Name() string   { return c.res.String() }
 func (c resourceChannel) Config() Config { return c.cfg }
 func (c resourceChannel) Round(parts []*faas.Instance, out []int) ([]int, error) {
 	return faas.ContentionRoundOnInto(c.res, parts, out)
+}
+func (c resourceChannel) Votes(parts []*faas.Instance, m, rounds int, out []int) ([]int, error) {
+	return faas.ContentionVotesInto(c.res, parts, m, rounds, out)
 }
 
 // RNGChannel returns the paper's hardware-RNG channel (§4.3), the low-noise

@@ -139,17 +139,15 @@ type Tester struct {
 	stats Stats
 	sink  Sink
 	// ch is the pluggable channel primitive (NewChannelTester). nil keeps
-	// the historical direct-resource path: rounds go straight to
-	// faas.ContentionRoundOnInto on cfg.Resource, byte-identical to builds
+	// the historical direct-resource path: tests go straight to
+	// faas.ContentionVotesInto on cfg.Resource, byte-identical to builds
 	// that predate the channel layer.
 	ch Channel
 
-	// votes and obs are per-test scratch reused across CTests (a test runs
-	// Rounds contention rounds; without reuse each round allocated a fresh
-	// observation slice). pair backs PairTest's two-instance participant
-	// list; wins is majority-vote scratch for VoteBudget > 1.
+	// votes is per-test scratch reused across CTests. pair backs PairTest's
+	// two-instance participant list; wins is majority-vote scratch for
+	// VoteBudget > 1.
 	votes []int
-	obs   []int
 	pair  [2]*faas.Instance
 	wins  []int
 }
@@ -241,31 +239,17 @@ func (t *Tester) singleCTest(instances []*faas.Instance, m, rep int) ([]bool, er
 	if len(instances) == 0 {
 		return nil, fmt.Errorf("covert: CTest of zero instances")
 	}
-	if cap(t.votes) < len(instances) {
-		t.votes = make([]int, len(instances))
+	var votes []int
+	var err error
+	if t.ch != nil {
+		votes, err = t.ch.Votes(instances, m, t.cfg.Rounds, t.votes)
+	} else {
+		votes, err = faas.ContentionVotesInto(t.cfg.Resource, instances, m, t.cfg.Rounds, t.votes)
 	}
-	votes := t.votes[:len(instances)]
-	for i := range votes {
-		votes[i] = 0
+	if err != nil {
+		return nil, err
 	}
-	for r := 0; r < t.cfg.Rounds; r++ {
-		var obs []int
-		var err error
-		if t.ch != nil {
-			obs, err = t.ch.Round(instances, t.obs)
-		} else {
-			obs, err = faas.ContentionRoundOnInto(t.cfg.Resource, instances, t.obs)
-		}
-		if err != nil {
-			return nil, err
-		}
-		t.obs = obs
-		for i, units := range obs {
-			if units >= m {
-				votes[i]++
-			}
-		}
-	}
+	t.votes = votes
 	t.sched.Advance(t.cfg.TestDuration)
 	t.stats.Tests++
 	t.stats.PairsTested += len(instances) * (len(instances) - 1) / 2

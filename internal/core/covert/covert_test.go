@@ -7,8 +7,13 @@ import (
 	"eaao/internal/faas"
 )
 
-func testWorld(t *testing.T, seed uint64, n int) (*faas.Platform, []*faas.Instance) {
+func testWorld(t testing.TB, seed uint64, n int) (*faas.Platform, []*faas.Instance) {
 	t.Helper()
+	return launchWorld(t, seed, n, testProfile())
+}
+
+// testProfile is a small, fast region for the covert-layer tests.
+func testProfile() faas.RegionProfile {
 	p := faas.USEast1Profile()
 	p.Name = "t"
 	p.NumHosts = 120
@@ -17,6 +22,12 @@ func testWorld(t *testing.T, seed uint64, n int) (*faas.Platform, []*faas.Instan
 	p.AccountHelperPool = 60
 	p.ServiceHelperSize = 45
 	p.ServiceHelperFresh = 5
+	return p
+}
+
+// launchWorld builds a platform on p and launches n instances of one service.
+func launchWorld(t testing.TB, seed uint64, n int, p faas.RegionProfile) (*faas.Platform, []*faas.Instance) {
+	t.Helper()
 	pl := faas.MustPlatform(seed, p)
 	insts, err := pl.MustRegion("t").Account("a").DeployService("s", faas.ServiceConfig{}).Launch(n)
 	if err != nil {
@@ -32,7 +43,7 @@ func sameHost(a, b *faas.Instance) bool {
 }
 
 // findPair returns indices of a co-located pair and of a non-co-located pair.
-func findPairs(t *testing.T, insts []*faas.Instance) (coA, coB, farA, farB int) {
+func findPairs(t testing.TB, insts []*faas.Instance) (coA, coB, farA, farB int) {
 	t.Helper()
 	coA, coB, farA, farB = -1, -1, -1, -1
 	for i := 0; i < len(insts) && (coA < 0 || farA < 0); i++ {

@@ -130,8 +130,8 @@ func ChannelByName(name string) (ChannelModel, error) {
 
 // roundNoise is the false-positive probability of one contention round on
 // host h: base background plus load sensitivity from bystander tenants
-// (residents not participating in the round). Pointer receiver: the round
-// loop calls this once per host per round, so the model must not be copied.
+// (residents not participating in the round). Pointer receiver: contention
+// calls read it once per host, so the model must not be copied.
 func (m *ChannelModel) roundNoise(h *Host) float64 {
 	p := m.BaseNoise
 	if m.LoadNoise > 0 {

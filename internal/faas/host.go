@@ -60,14 +60,14 @@ type Host struct {
 	// per-call map allocation. A mark value is meaningful only inside the
 	// single operation that minted it.
 	mark uint64
-	// roundCount, roundBG and roundDrop are contention-round scratch, valid
-	// only while mark holds the current round's epoch: the number of live
-	// participants resident here, the once-per-round background draw (-1 =
-	// not drawn), and whether a load-sensitive channel dropped the whole
-	// round dead on this host.
+	// roundCount and roundOut are contention scratch, valid only while mark
+	// holds the current contention call's epoch: the number of live
+	// participants resident here, and the host's resolved result (-1 = not
+	// yet drawn) — the units one round observes (ContentionRoundOnInto) or a
+	// whole test's count of rounds observing at least m (ContentionVotesInto).
+	// int32 packs roundOut beside misfireBias, holding Host at 256 bytes.
 	roundCount int
-	roundBG    int8
-	roundDrop  int8
+	roundOut   int32
 
 	// Covert-channel misfire state (fault plane), per resource family:
 	// misfireBias is the bias of the current misfire window (+1 phantom
@@ -197,13 +197,15 @@ func (h *Host) ProbeFault() bool {
 }
 
 // updateMisfire refreshes the host's misfire state for one covert-channel
-// resource family at the start of a contention round: while a window is open
+// resource family at the start of a contention call: while a window is open
 // its bias stands; once it expires, a fresh episode is drawn from the channel
-// fault stream. With both of the channel's rates zero this is a no-op (and
-// draws nothing), so untargeted channels are never perturbed.
+// fault stream. The clock does not move inside a call, so one resolution
+// holds for every round the call runs. With both of the channel's rates zero
+// this is a no-op (and draws nothing), so untargeted channels are never
+// perturbed.
 func (h *Host) updateMisfire(res Resource) {
 	// Resolve the rates without copying the FaultPlan (ChannelRates takes a
-	// value receiver): this runs once per host per contention round.
+	// value receiver): this runs once per host per contention call.
 	f := &h.dc.faults
 	r := f.PerChannel[res]
 	if r.zero() {
@@ -241,8 +243,8 @@ func (h *Host) ResidentCount() int { return len(h.instances) }
 // connected instances of an autoscaled service with demand > 0 (background
 // tenants). Footprint instances pinned through Launch never set demand, so
 // the count is zero on every host of a world without demand-driven
-// neighbors. Called at most once per host per contention round (the cached
-// roundBG/roundDrop draw), so the linear scan stays off the hot path.
+// neighbors. Called at most once per host per contention call (the cached
+// roundOut result), so the linear scan stays off the hot path.
 func (h *Host) servingResidents() int {
 	n := 0
 	for _, inst := range h.instances {

@@ -470,8 +470,8 @@ func ContentionRoundOn(res Resource, parts []*Instance) ([]int, error) {
 }
 
 // ContentionRoundOnInto is ContentionRoundOn writing its observations into
-// out (grown if needed), so round-per-round callers like covert.Tester can
-// run the channel without allocating. Per-host bookkeeping rides on host
+// out (grown if needed), so round-per-round callers like quarantine sampling
+// can run the channel without allocating. Per-host bookkeeping rides on host
 // epoch marks instead of per-round maps; all participants must live on one
 // Platform (true for any real instance set — instances never migrate across
 // platforms).
@@ -479,17 +479,85 @@ func ContentionRoundOnInto(res Resource, parts []*Instance, out []int) ([]int, e
 	if len(parts) == 0 {
 		return out[:0], nil
 	}
-	if cap(out) < len(parts) {
-		out = make([]int, len(parts))
+	out = growInts(out, len(parts))
+	model, err := beginContention(res, parts)
+	if err != nil {
+		return nil, err
 	}
-	out = out[:len(parts)]
+	for i, inst := range parts {
+		if inst.state == StateTerminated {
+			out[i] = 0
+			continue
+		}
+		h := inst.host
+		if h.roundOut < 0 {
+			h.roundOut = int32(h.roundUnits(res, model, model.roundNoise(h), model.roundDrop(h)))
+		}
+		out[i] = int(h.roundOut)
+	}
+	return out, nil
+}
+
+// ContentionVotesInto runs rounds synchronized contention rounds among parts
+// at one instant — a whole CTest — and writes into votes (grown if needed)
+// each participant's count of rounds in which it observed at least m units.
+// It is byte-identical to counting units >= m over rounds calls of
+// ContentionRoundOnInto: the clock does not move inside a test, so hosts are
+// marked and misfire state resolved once (in participant order, keeping the
+// channel fault stream's draw order), the channel odds are read once per
+// host, and each host then draws all its rounds from its own noise stream in
+// the same per-host order the round-by-round calls would. Terminated
+// participants observe nothing and count zero.
+func ContentionVotesInto(res Resource, parts []*Instance, m, rounds int, votes []int) ([]int, error) {
+	if m < 1 || rounds < 0 {
+		return nil, fmt.Errorf("faas: contention votes need m >= 1 and rounds >= 0 (m=%d, rounds=%d)", m, rounds)
+	}
+	if len(parts) == 0 {
+		return votes[:0], nil
+	}
+	votes = growInts(votes, len(parts))
+	model, err := beginContention(res, parts)
+	if err != nil {
+		return nil, err
+	}
+	for i, inst := range parts {
+		if inst.state == StateTerminated {
+			votes[i] = 0
+			continue
+		}
+		h := inst.host
+		if h.roundOut < 0 {
+			noise, drop := model.roundNoise(h), model.roundDrop(h)
+			var n int32
+			for r := 0; r < rounds; r++ {
+				if h.roundUnits(res, model, noise, drop) >= m {
+					n++
+				}
+			}
+			h.roundOut = n
+		}
+		votes[i] = int(h.roundOut)
+	}
+	return votes, nil
+}
+
+// growInts returns s resized to n, reallocating only when cap is short.
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// beginContention opens one contention call on res: it marks every live
+// participant's host with a fresh epoch, counts the participants resident
+// there, and refreshes the host's misfire state, visiting hosts in
+// participant order so the region's channel fault stream draws in a fixed
+// order. It returns the channel's registered model.
+func beginContention(res Resource, parts []*Instance) (*ChannelModel, error) {
 	if !res.Valid() {
 		return nil, fmt.Errorf("faas: unknown channel resource %d", int(res))
 	}
-	// Pointer into the registry: the round loop reads the model once per
-	// host per round, and a by-value ChannelModel copy per call is measurable
-	// on the pairwise-verification path.
-	model := &channelModels[res]
 	var mark uint64
 	for _, inst := range parts {
 		if inst.state == StateTerminated {
@@ -502,44 +570,37 @@ func ContentionRoundOnInto(res Resource, parts []*Instance, out []int) ([]int, e
 		if h.mark != mark {
 			h.mark = mark
 			h.roundCount = 0
-			h.roundBG = -1
-			h.roundDrop = 0
+			h.roundOut = -1
 			h.updateMisfire(res)
 		}
 		h.roundCount++
 	}
-	// Background usage by unrelated tenants, decided once per host per
-	// round. Each host draws from its own noise stream, so per-host draw
-	// counts — not cross-host ordering — are what determinism depends on:
-	// load-insensitive channels (RNG, memory bus) draw exactly one Bool per
-	// host per round, keeping their historical draw sequences frozen, while
-	// load-sensitive channels (the LLC) scale the false-positive odds with
-	// bystander occupancy and add one drop draw per host per round.
-	for i, inst := range parts {
-		if inst.state == StateTerminated {
-			out[i] = 0
-			continue
-		}
-		h := inst.host
-		if h.roundBG < 0 {
-			h.roundBG = 0
-			if h.noiseRNG.Bool(model.roundNoise(h)) {
-				h.roundBG = 1
-			}
-			if model.LoadDrop > 0 && h.noiseRNG.Bool(model.roundDrop(h)) {
-				h.roundDrop = 1
-			}
-		}
-		units := h.roundCount + int(h.roundBG)
-		// An active misfire episode corrupts the observation: a phantom
-		// contention unit (false positive) or a dead read (false negative).
-		// A load-induced drop reads dead the same way.
-		if h.misfireBias[res] > 0 {
-			units++
-		} else if h.misfireBias[res] < 0 || h.roundDrop > 0 {
-			units = 0
-		}
-		out[i] = units
+	// Pointer into the registry: a by-value ChannelModel copy per call is
+	// measurable on the pairwise-verification path.
+	return &channelModels[res], nil
+}
+
+// roundUnits draws one contention round on host h and returns the units each
+// participant resident there observes: the participant count plus background
+// usage by unrelated tenants, corrupted by an active misfire episode (a
+// phantom unit, or a dead read) or a load-induced drop (a dead read). noise
+// and drop are the channel's odds on h for this call (roundNoise,
+// roundDrop). Each host draws from its own noise stream, so per-host draw
+// order — not cross-host ordering — is what determinism depends on:
+// load-insensitive channels (RNG, memory bus) draw exactly one Bool per
+// round, keeping their historical draw sequences frozen, while
+// load-sensitive channels (the LLC) add one drop draw per round.
+func (h *Host) roundUnits(res Resource, model *ChannelModel, noise, drop float64) int {
+	units := h.roundCount
+	if h.noiseRNG.Bool(noise) {
+		units++
 	}
-	return out, nil
+	dropped := model.LoadDrop > 0 && h.noiseRNG.Bool(drop)
+	switch {
+	case h.misfireBias[res] > 0:
+		units++
+	case h.misfireBias[res] < 0 || dropped:
+		units = 0
+	}
+	return units
 }
