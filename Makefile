@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint race bench bench-scale bench-ctest bench-json bench-diff bench-gate run-all
+.PHONY: check lint race bench bench-scale bench-ctest bench-json bench-diff bench-gate run-all loc
 
 # Tier-1 gate: lint (gofmt + vet), build, test, a race pass over the fault
 # plane and its attack-side recovery paths, quick fault-sweep/multiregion/
@@ -78,3 +78,10 @@ bench-gate:
 
 run-all:
 	$(GO) run ./cmd/eaao run all
+
+# Prints the two size numbers the roadmap tracks: non-test Go lines outside
+# perfbench/ (hidden directories such as .git and .bench_build excluded), and
+# the length of the eaao.go facade. It reports only; it is not a gate.
+loc:
+	@echo "non-test Go lines outside perfbench/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.*' | xargs cat | wc -l)"
+	@echo "eaao.go lines: $$(wc -l < eaao.go)"

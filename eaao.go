@@ -31,7 +31,6 @@
 package eaao
 
 import (
-	"io"
 	"time"
 
 	"eaao/internal/core/attack"
@@ -106,8 +105,6 @@ type (
 	PlacementEvent = faas.PlacementEvent
 	// PlacementTracer receives placement decisions as they happen.
 	PlacementTracer = faas.PlacementTracer
-	// TraceRing is a bounded in-memory PlacementTracer.
-	TraceRing = faas.TraceRing
 )
 
 // Fault-plane types (deterministic injected failures; zero values disable).
@@ -133,8 +130,6 @@ type (
 	Sample = fingerprint.Sample
 	// Gen1Fingerprint identifies a host by CPU model + rounded boot time.
 	Gen1Fingerprint = fingerprint.Gen1
-	// Gen2Fingerprint identifies a host by its refined TSC frequency.
-	Gen2Fingerprint = fingerprint.Gen2
 	// FingerprintKey is the comparable fingerprint identity used to group
 	// instances (VerifyItem.Fingerprint); build one with the fingerprints'
 	// Key methods.
@@ -145,27 +140,14 @@ type (
 	Drift = fingerprint.Drift
 	// FreqMeasurement is a measured-TSC-frequency estimate (method 2).
 	FreqMeasurement = fingerprint.FreqMeasurement
-	// CovertConfig parameterizes the RNG-contention covert channel.
-	CovertConfig = covert.Config
 	// CovertTester runs CTest invocations and accounts their cost.
 	CovertTester = covert.Tester
-	// CovertChannel is one pluggable covert-channel primitive (RNG, memory
-	// bus, LLC); build testers for it with NewChannelCovertTester.
-	CovertChannel = covert.Channel
-	// CovertRunner is the tester capability surface shared by the
-	// single-channel Tester and the majority-combined MultiCovertTester.
-	CovertRunner = covert.Runner
-	// MultiCovertTester combines several channels by majority vote.
-	MultiCovertTester = covert.MultiTester
-	// ChannelModel is one channel family's physical parameters in the
-	// platform registry (round time, bandwidth, load-sensitive noise).
-	ChannelModel = faas.ChannelModel
 	// ChannelFaultRates is a FaultPlan's per-channel misfire override.
 	ChannelFaultRates = faas.ChannelFaultRates
 	// ChannelCost is a campaign ledger's per-channel verify-stage split.
 	ChannelCost = attack.ChannelCost
 	// ColocTester is the covert capability co-location verification needs;
-	// every CovertRunner satisfies it.
+	// every covert tester satisfies it.
 	ColocTester = coloc.Tester
 	// VerifyItem is one instance tagged with its fingerprint.
 	VerifyItem = coloc.Item
@@ -242,11 +224,6 @@ func NewFleet(seed uint64, profiles ...RegionProfile) (*Fleet, error) {
 	return faas.NewFleet(seed, profiles...)
 }
 
-// FleetOf wraps existing regions into a fleet. Multi-region fleets need one
-// platform per region (each shard must own its virtual clock); a one-region
-// fleet may wrap any platform's region.
-func FleetOf(regions ...*DataCenter) (*Fleet, error) { return faas.FleetOf(regions...) }
-
 // NewFleetAttackCampaign binds a launch strategy, an account identity and a
 // budget planner to a fleet. A nil planner selects the strategy's native
 // continue/stop rule, making a one-region fleet byte-identical to the legacy
@@ -255,9 +232,6 @@ func NewFleetAttackCampaign(fleet *Fleet, account string, cfg AttackConfig, gen 
 	strategy LaunchStrategy, planner Planner) (*FleetCampaign, error) {
 	return attack.NewFleetCampaign(fleet, account, cfg, gen, strategy, planner)
 }
-
-// AttackPlanners returns one instance of every built-in budget planner.
-func AttackPlanners() []Planner { return attack.Planners() }
 
 // AttackPlannerByName resolves a built-in budget planner from its name
 // ("static-even", "proportional", "adaptive").
@@ -330,9 +304,6 @@ func PlacementPolicyByName(name string) (PlacementPolicy, error) {
 	return faas.PolicyByName(name)
 }
 
-// NewTraceRing returns a bounded placement tracer holding capacity events.
-func NewTraceRing(capacity int) *TraceRing { return faas.NewTraceRing(capacity) }
-
 // Container sizes of Table 1.
 var (
 	SizePico   = faas.SizePico
@@ -372,9 +343,6 @@ func DefaultTrafficModel(tenants int, util float64) TrafficModel {
 // CollectGen1 takes one Gen 1 fingerprint measurement inside a guest.
 func CollectGen1(g *Guest) (Sample, error) { return fingerprint.CollectGen1(g) }
 
-// CollectGen2 reads a Gen 2 fingerprint inside a guest VM.
-func CollectGen2(g *Guest) (Gen2Fingerprint, error) { return fingerprint.CollectGen2(g) }
-
 // Duration re-exports time.Duration for API symmetry.
 type Duration = time.Duration
 
@@ -389,78 +357,13 @@ func NewCovertTester(sched *Scheduler) *CovertTester {
 	return covert.NewTester(sched, covert.DefaultConfig())
 }
 
-// NewCovertTesterWith builds a tester with an explicit configuration (e.g.
-// MemBusCovertConfig, or a Calibrate result).
-func NewCovertTesterWith(sched *Scheduler, cfg CovertConfig) *CovertTester {
-	return covert.NewTester(sched, cfg)
-}
-
-// MemBusCovertConfig returns the memory-bus channel configuration used by
-// earlier co-location studies: workable, but ~30x slower per test.
-func MemBusCovertConfig() CovertConfig { return covert.MemBusConfig() }
-
-// LLCCovertConfig returns the LLC contention-channel configuration: tests in
-// 20 ms instead of 100 ms, at the price of load-sensitive noise.
-func LLCCovertConfig() CovertConfig { return covert.LLCConfig() }
-
-// CovertChannelNames lists the channel selectors CovertRunnerFor accepts
-// ("rng", "llc", "membus", "combined").
-func CovertChannelNames() []string { return covert.ChannelNames() }
-
-// ValidCovertChannel reports whether name selects a covert channel: one of
-// CovertChannelNames, or empty for the default RNG channel.
+// ValidCovertChannel reports whether name selects a covert channel ("rng",
+// "llc", "membus", "combined"), or is empty for the default RNG channel.
 func ValidCovertChannel(name string) bool { return covert.ValidChannel(name) }
 
-// CovertChannelByName resolves one pluggable channel primitive ("" and "rng"
-// are the paper's RNG channel; "llc", "membus").
-func CovertChannelByName(name string) (CovertChannel, error) {
-	return covert.ChannelByName(name)
-}
-
-// CovertRunnerFor builds a tester for a channel selector: a single-channel
-// tester for "rng"/"llc"/"membus", or the majority-combined tester of all
-// three for "combined". voteBudget enables fault-recovery majority voting
-// (0/1 = single shot).
-func CovertRunnerFor(name string, sched *Scheduler, voteBudget int) (CovertRunner, error) {
-	return covert.RunnerFor(name, sched, voteBudget)
-}
-
-// NewChannelCovertTester builds a single-channel tester driving an explicit
-// channel primitive with an explicit configuration.
-func NewChannelCovertTester(sched *Scheduler, ch CovertChannel, cfg CovertConfig) *CovertTester {
-	return covert.NewChannelTester(sched, ch, cfg)
-}
-
-// NewMultiCovertTester combines channel primitives into one majority-voting
-// tester: a pair is co-located iff a majority of the channels say so.
-func NewMultiCovertTester(sched *Scheduler, voteBudget int, channels ...CovertChannel) *MultiCovertTester {
-	return covert.NewMultiTester(sched, voteBudget, channels...)
-}
-
-// ChannelModels returns the platform's channel-model registry in Resource
-// order (rng, membus, llc).
-func ChannelModels() []ChannelModel { return faas.Channels() }
-
-// CalibrateCovertChannel measures the background contention rate from a
-// probe instance and derives a vote threshold with comfortable margin.
-func CalibrateCovertChannel(base CovertConfig, probe *Instance, sampleRounds int) (CovertConfig, error) {
-	return covert.Calibrate(base, probe, sampleRounds)
-}
-
-// CalibrateChannel is CalibrateCovertChannel through a pluggable channel
-// primitive: sampling and threshold derivation use the channel's own round
-// primitive and tuned base configuration.
-func CalibrateChannel(ch CovertChannel, probe *Instance, sampleRounds int) (CovertConfig, error) {
-	return covert.CalibrateChannel(ch, probe, sampleRounds)
-}
-
-// LoadTargetBook reads a re-attack fingerprint book written by
-// TargetBook.Save.
-func LoadTargetBook(r io.Reader) (*TargetBook, error) { return attack.LoadTargetBook(r) }
-
 // VerifyColocation runs the scalable §4.3 verification. Any ColocTester
-// works: a plain CovertTester, a channel tester, or the majority-combined
-// MultiCovertTester.
+// works: a single-channel CovertTester or a majority-combined multi-channel
+// tester.
 func VerifyColocation(tester ColocTester, items []VerifyItem, opt VerifyOptions) (*VerifyResult, error) {
 	return coloc.Verify(tester, items, opt)
 }

@@ -92,7 +92,7 @@ type Config struct {
 	// CalibrationRounds, when positive, re-derives the tester's vote
 	// thresholds against the live world before the first verification: a
 	// footprint probe samples each channel's background rate over this many
-	// solo rounds (covert.CalibrateChannel) instead of trusting quiet-world
+	// solo rounds (covert.Calibrate) instead of trusting quiet-world
 	// constants.
 	CalibrationRounds int
 	// MarginFloor is the CTest health bar: a test whose minimum verdict

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"eaao/internal/core/covert"
 	"eaao/internal/faas"
@@ -131,17 +132,19 @@ func TestCampaignChannelLedger(t *testing.T) {
 	}
 }
 
-// The default-channel campaign must be byte-identical to one driven by an
-// explicitly installed RNG tester — the pre-channel construction path.
+// A campaign's channel selector and an explicitly installed tester of the
+// same configuration must be byte-identical. Quiet world: the default RNG
+// channel. Loaded world: a noise-hardened LLC campaign whose ladder reaches
+// the quarantine rung; CalibrationRounds 0 keeps the installed tester in
+// place until then, so quarantine must sample through it too.
 func TestCampaignDefaultChannelIdentity(t *testing.T) {
-	run := func(install bool) (Coverage, CampaignStats) {
-		dc := smallWorld(t, 53)
-		c, err := NewCampaign(dc.Account("attacker"), smallCfg(), sandbox.Gen1, OptimizedStrategy{})
+	run := func(dc *faas.DataCenter, cfg Config, install func(*faas.DataCenter) covert.Runner) (Coverage, CampaignStats) {
+		c, err := NewCampaign(dc.Account("attacker"), cfg, sandbox.Gen1, OptimizedStrategy{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if install {
-			c.SetTester(covert.NewTester(dc.Scheduler(), covert.DefaultConfig()))
+		if install != nil {
+			c.SetTester(install(dc))
 		}
 		if _, err := c.Launch(); err != nil {
 			t.Fatal(err)
@@ -156,15 +159,43 @@ func TestCampaignDefaultChannelIdentity(t *testing.T) {
 		}
 		return cov, c.Stats()
 	}
-	covA, stA := run(false)
-	covB, stB := run(true)
-	if covA != covB {
-		t.Errorf("coverage diverged: %+v vs %+v", covA, covB)
+	same := func(t *testing.T, covA, covB Coverage, stA, stB CampaignStats) {
+		t.Helper()
+		if covA != covB {
+			t.Errorf("coverage diverged: %+v vs %+v", covA, covB)
+		}
+		stA.PerChannel, stB.PerChannel = nil, nil
+		if !reflect.DeepEqual(stA, stB) {
+			t.Errorf("ledgers diverged:\n  selector %+v\n  explicit %+v", stA, stB)
+		}
 	}
-	stA.PerChannel, stB.PerChannel = nil, nil
-	if !reflect.DeepEqual(stA, stB) {
-		t.Errorf("ledgers diverged:\n  default  %+v\n  explicit %+v", stA, stB)
-	}
+
+	t.Run("quiet-rng", func(t *testing.T) {
+		covA, stA := run(smallWorld(t, 53), smallCfg(), nil)
+		covB, stB := run(smallWorld(t, 53), smallCfg(), func(dc *faas.DataCenter) covert.Runner {
+			return covert.NewTester(dc.Scheduler(), covert.DefaultConfig())
+		})
+		same(t, covA, covB, stA, stB)
+	})
+
+	t.Run("loaded-llc", func(t *testing.T) {
+		cfg := smallCfg()
+		cfg.Channel = "llc"
+		cfg.LaunchRetries = 6
+		cfg.RetryBackoff = 30 * time.Second
+		cfg = hardenNoiseChannel(cfg)
+		cfg.CalibrationRounds = 0
+		cfg.QuarantineAfter = 1
+		cfg.MaxVoteBudget = 0
+		covA, stA := run(loadedWorld(t, 69, 0.3), cfg, nil)
+		covB, stB := run(loadedWorld(t, 69, 0.3), cfg, func(dc *faas.DataCenter) covert.Runner {
+			return covert.NewTester(dc.Scheduler(), covert.LLCConfig())
+		})
+		if stA.Quarantined == 0 {
+			t.Fatal("selector campaign quarantined nothing; the rung is unexercised")
+		}
+		same(t, covA, covB, stA, stB)
+	})
 }
 
 func TestFleetTotalsMergeChannels(t *testing.T) {

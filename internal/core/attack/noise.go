@@ -180,16 +180,15 @@ func (c *Campaign) tryCalibrate(name string) (covert.Runner, time.Duration, bool
 // pressuring every round) or dead-read (the channel dropping the instance's
 // own unit) rate clears NoisyHostBar. QuarantineAfter consecutive strikes
 // exclude the instance from verification: its host's channel is unreliable
-// enough that its verdicts are spending budget to produce noise.
+// enough that its verdicts are spending budget to produce noise. Only a
+// single-channel *covert.Tester names one resource to sample; a MultiTester
+// or a wrapping Runner skips the rung.
 func (c *Campaign) quarantineNoisy() {
-	cg, ok := c.tester.(interface{ Channel() covert.Channel })
+	t, ok := c.tester.(*covert.Tester)
 	if !ok {
 		return
 	}
-	ch := cg.Channel()
-	if ch == nil {
-		return
-	}
+	res := t.Config().Resource
 	if c.strikes == nil {
 		c.strikes = make(map[*faas.Instance]int)
 		c.quarantined = make(map[*faas.Instance]bool)
@@ -206,7 +205,7 @@ func (c *Campaign) quarantineNoisy() {
 		for r := 0; r < quarantineSampleRounds; r++ {
 			single[0] = inst
 			var err error
-			obs, err = ch.Round(single, obs)
+			obs, err = faas.ContentionRoundOnInto(res, single, obs)
 			if err != nil {
 				sampled = false
 				break

@@ -30,28 +30,7 @@ func Calibrate(base Config, probe *faas.Instance, sampleRounds int) (Config, err
 	if err != nil {
 		return Config{}, err
 	}
-	return deriveThreshold(base, float64(hits[0])/float64(sampleRounds))
-}
-
-// CalibrateChannel is Calibrate for a pluggable channel primitive: the
-// background rate is sampled through the channel's own test primitive and
-// the threshold derived from the channel's tuned base configuration. For the
-// RNG channel this draws and derives identically to
-// Calibrate(DefaultConfig(), ...).
-func CalibrateChannel(ch Channel, probe *faas.Instance, sampleRounds int) (Config, error) {
-	if sampleRounds <= 0 {
-		return Config{}, fmt.Errorf("covert: calibration needs sample rounds")
-	}
-	hits, err := ch.Votes([]*faas.Instance{probe}, 2, sampleRounds, nil)
-	if err != nil {
-		return Config{}, err
-	}
-	return deriveThreshold(ch.Config(), float64(hits[0])/float64(sampleRounds))
-}
-
-// deriveThreshold turns a measured background rate into a calibrated
-// configuration (the math shared by Calibrate and CalibrateChannel).
-func deriveThreshold(base Config, bg float64) (Config, error) {
+	bg := float64(hits[0]) / float64(sampleRounds)
 	if bg >= 0.9 {
 		return Config{}, fmt.Errorf("covert: background rate %.2f too high to calibrate — probe may not be alone", bg)
 	}

@@ -102,20 +102,20 @@ func TestCalibrateErrors(t *testing.T) {
 func TestCalibrateChannelConverges(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
-		ch           Channel
+		base         Config
 		minThreshold int
 	}{
-		{"llc", LLCChannel(), 2},
-		{"membus", MemBusChannel(), 15},
+		{"llc", LLCConfig(), 2},
+		{"membus", MemBusConfig(), 15},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pl, insts := testWorld(t, 24, 120)
 			probe := quietProbe(t, pl, insts)
-			cfg, err := CalibrateChannel(tc.ch, probe, 800)
+			cfg, err := Calibrate(tc.base, probe, 800)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Resource != tc.ch.Config().Resource {
+			if cfg.Resource != tc.base.Resource {
 				t.Errorf("calibrated config drives %v, want the channel's resource", cfg.Resource)
 			}
 			if cfg.VoteThreshold <= tc.minThreshold {
@@ -124,7 +124,7 @@ func TestCalibrateChannelConverges(t *testing.T) {
 			if cfg.VoteThreshold > cfg.Rounds {
 				t.Errorf("threshold %d of %d rounds unreachable", cfg.VoteThreshold, cfg.Rounds)
 			}
-			tester := NewChannelTester(pl.Scheduler(), tc.ch, cfg)
+			tester := NewTester(pl.Scheduler(), cfg)
 			coA, coB, farA, farB := findPairs(t, insts)
 			pos, err := tester.PairTest(insts[coA], insts[coB])
 			if err != nil {
@@ -144,9 +144,9 @@ func TestCalibrateChannelConverges(t *testing.T) {
 	}
 }
 
-// Calibrating through the pluggable RNG channel must reproduce the historical
-// Calibrate(DefaultConfig(), ...) result exactly — same draws, same threshold
-// — so existing calibrations are unchanged by the channel layer.
+// The calibrated "rng" runner must carry exactly the configuration
+// Calibrate(DefaultConfig(), ...) derives — same draws, same threshold — plus
+// the requested vote budget: the name dispatch adds nothing of its own.
 func TestCalibrateChannelRNGIdentity(t *testing.T) {
 	plA, instsA := testWorld(t, 25, 40)
 	plB, instsB := testWorld(t, 25, 40)
@@ -157,19 +157,24 @@ func TestCalibrateChannelRNGIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pluggable, err := CalibrateChannel(RNGChannel(), probeB, 500)
+	r, err := CalibratedRunnerFor("rng", plB.Scheduler(), probeB, 500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy != pluggable {
-		t.Errorf("RNG calibration changed under the channel layer:\n  legacy    %+v\n  pluggable %+v", legacy, pluggable)
+	legacy.VoteBudget = 3
+	if got := r.Config(); legacy != got {
+		t.Errorf("calibrated rng runner diverged from Calibrate:\n  Calibrate %+v\n  runner    %+v", legacy, got)
 	}
 }
 
+// Calibration errors surface through the name dispatch, for single and
+// combined selectors alike.
 func TestCalibrateChannelErrors(t *testing.T) {
-	_, insts := testWorld(t, 26, 5)
-	if _, err := CalibrateChannel(RNGChannel(), insts[0], 0); err == nil {
-		t.Error("zero sample rounds accepted")
+	pl, insts := testWorld(t, 26, 5)
+	for _, name := range ChannelNames() {
+		if _, err := CalibratedRunnerFor(name, pl.Scheduler(), insts[0], 0, 1); err == nil {
+			t.Errorf("%s: zero sample rounds accepted", name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package covert
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"eaao/internal/faas"
@@ -10,62 +11,18 @@ import (
 
 // This file makes the covert channel a pluggable primitive, the third leg of
 // the repo's plug-in architecture next to placement policies and launch
-// strategies: a Channel bundles a contention resource with the CTest
-// configuration tuned for its noise character, a Runner is the full testing
-// surface verification consumes, and MultiTester majority-combines several
-// channels so that corruption confined to one resource family is outvoted by
-// the healthy ones.
+// strategies. A channel is nothing more than a Config: its Resource names the
+// contention family (one row of the faas ChannelModel registry) and its
+// rounds, threshold and test duration are tuned for that family's noise.
+// A Runner is the full testing surface verification consumes, and
+// MultiTester majority-combines several channels so that corruption confined
+// to one resource family is outvoted by the healthy ones.
 
-// Channel is one pluggable covert-channel primitive: a named contention
-// resource plus the CTest configuration tuned for its bandwidth and noise.
-type Channel interface {
-	// Name identifies the channel ("rng", "membus", "llc").
-	Name() string
-	// Config returns the channel's tuned CTest configuration.
-	Config() Config
-	// Round executes one synchronized contention round among the given
-	// participants, writing observations into out (grown as needed).
-	Round(parts []*faas.Instance, out []int) ([]int, error)
-	// Votes executes a whole test — rounds synchronized rounds at one
-	// instant — writing into out (grown as needed) each participant's count
-	// of rounds observing at least m units. It is byte-identical to counting
-	// over rounds calls of Round.
-	Votes(parts []*faas.Instance, m, rounds int, out []int) ([]int, error)
-}
-
-// resourceChannel is a Channel backed by one faas shared-resource family.
-type resourceChannel struct {
-	res faas.Resource
-	cfg Config
-}
-
-func (c resourceChannel) Name() string   { return c.res.String() }
-func (c resourceChannel) Config() Config { return c.cfg }
-func (c resourceChannel) Round(parts []*faas.Instance, out []int) ([]int, error) {
-	return faas.ContentionRoundOnInto(c.res, parts, out)
-}
-func (c resourceChannel) Votes(parts []*faas.Instance, m, rounds int, out []int) ([]int, error) {
-	return faas.ContentionVotesInto(c.res, parts, m, rounds, out)
-}
-
-// RNGChannel returns the paper's hardware-RNG channel (§4.3), the low-noise
-// default every historical experiment runs on.
-func RNGChannel() Channel { return resourceChannel{faas.ResourceRNG, DefaultConfig()} }
-
-// MemBusChannel returns the memory-bus channel of the earlier co-location
-// studies: slow but serviceable, load-insensitive in this model.
-func MemBusChannel() Channel { return resourceChannel{faas.ResourceMemBus, MemBusConfig()} }
-
-// LLCChannel returns the last-level-cache contention channel (Zhao &
-// Fletcher): 5× faster tests than the RNG, but error rates that grow with
-// bystander load on the host.
-func LLCChannel() Channel { return resourceChannel{faas.ResourceLLC, LLCConfig()} }
-
-// LLCConfig returns a configuration for the LLC channel: a test costs 20 ms
-// instead of the RNG's 100, but background evictions are common (4% on a
-// quiet host, worse with every bystander tenant), so the vote threshold sits
-// well above half to keep loaded hosts from voting their way to false
-// positives.
+// LLCConfig returns a configuration for the LLC channel (Zhao & Fletcher): a
+// test costs 20 ms instead of the RNG's 100, but background evictions are
+// common (4% on a quiet host, worse with every bystander tenant), so the vote
+// threshold sits well above half to keep loaded hosts from voting their way
+// to false positives.
 func LLCConfig() Config {
 	return Config{
 		Resource:      faas.ResourceLLC,
@@ -76,35 +33,33 @@ func LLCConfig() Config {
 }
 
 // CombinedChannelName selects the majority-combined multi-channel tester in
-// RunnerFor and the CLI's -channel flag; it is a Runner, not a Channel.
+// RunnerFor and the CLI's -channel flag; it names a MultiTester, not a
+// single Config.
 const CombinedChannelName = "combined"
 
 // ChannelNames lists every name RunnerFor resolves (the empty string, the
 // default, is the RNG channel).
 func ChannelNames() []string { return []string{"rng", "llc", "membus", CombinedChannelName} }
 
-// ValidChannel reports whether name resolves in RunnerFor.
+// ValidChannel reports whether name resolves in RunnerFor: one of
+// ChannelNames, or empty for the default.
 func ValidChannel(name string) bool {
-	switch name {
-	case "", "rng", "llc", "membus", CombinedChannelName:
-		return true
-	}
-	return false
+	return name == "" || slices.Contains(ChannelNames(), name)
 }
 
-// ChannelByName resolves a single-channel primitive from its name. The empty
-// string resolves to the default RNG channel; "combined" is not a Channel —
-// use RunnerFor for it.
-func ChannelByName(name string) (Channel, error) {
+// ConfigByName resolves a single channel's tuned configuration from its
+// name. The empty string resolves to the default RNG channel; "combined" is
+// not a single channel — use RunnerFor for it.
+func ConfigByName(name string) (Config, error) {
 	switch name {
 	case "", "rng":
-		return RNGChannel(), nil
+		return DefaultConfig(), nil
 	case "llc":
-		return LLCChannel(), nil
+		return LLCConfig(), nil
 	case "membus":
-		return MemBusChannel(), nil
+		return MemBusConfig(), nil
 	}
-	return nil, fmt.Errorf("covert: unknown channel %q (rng, llc, membus)", name)
+	return Config{}, fmt.Errorf("covert: unknown channel %q (rng, llc, membus)", name)
 }
 
 // Runner is the pluggable covert-channel testing surface: everything
@@ -125,60 +80,52 @@ type Runner interface {
 // MultiTester majority-combining rng, llc and membus). voteBudget applies
 // per channel.
 func RunnerFor(name string, sched *simtime.Scheduler, voteBudget int) (Runner, error) {
-	if name == CombinedChannelName {
-		return NewMultiTester(sched, voteBudget, RNGChannel(), LLCChannel(), MemBusChannel()), nil
-	}
-	ch, err := ChannelByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("covert: unknown channel %q (rng, llc, membus, combined)", name)
-	}
-	cfg := ch.Config()
-	cfg.VoteBudget = voteBudget
-	return NewChannelTester(sched, ch, cfg), nil
-}
-
-// NewChannelTester builds a Tester driving the given channel primitive with
-// an explicit configuration (usually the channel's own, possibly with a
-// VoteBudget applied).
-func NewChannelTester(sched *simtime.Scheduler, ch Channel, cfg Config) *Tester {
-	t := NewTester(sched, cfg)
-	t.ch = ch
-	return t
+	return runnerFor(name, sched, voteBudget, nil)
 }
 
 // CalibratedRunnerFor resolves a channel selector exactly like RunnerFor but
 // re-derives every member channel's vote threshold against the live world:
 // the probe instance samples each channel's background rate over sampleRounds
-// solo rounds (CalibrateChannel) and the threshold comes from the measurement
+// solo rounds (Calibrate) and the threshold comes from the measurement
 // instead of the quiet-world constant. On a busy host the measured background
 // includes real bystander noise, so the derived threshold is the one an
 // attacker operating in a living cloud would actually use. It fails when a
-// channel's background is too high to separate (CalibrateChannel's error).
+// channel's background is too high to separate (Calibrate's error).
 func CalibratedRunnerFor(name string, sched *simtime.Scheduler, probe *faas.Instance, sampleRounds, voteBudget int) (Runner, error) {
-	calibrated := func(ch Channel) (*Tester, error) {
-		cfg, err := CalibrateChannel(ch, probe, sampleRounds)
-		if err != nil {
-			return nil, err
-		}
-		cfg.VoteBudget = voteBudget
-		return NewChannelTester(sched, ch, cfg), nil
-	}
+	return runnerFor(name, sched, voteBudget, func(base Config) (Config, error) {
+		return Calibrate(base, probe, sampleRounds)
+	})
+}
+
+// runnerFor is the one name → configs dispatch behind RunnerFor and
+// CalibratedRunnerFor: it resolves name to its member configurations, passes
+// each through tune (nil keeps the stock configuration) in member order, and
+// assembles a Tester, or a MultiTester for the combined selector.
+func runnerFor(name string, sched *simtime.Scheduler, voteBudget int, tune func(Config) (Config, error)) (Runner, error) {
+	var cfgs []Config
 	if name == CombinedChannelName {
-		children := make([]*Tester, 0, 3)
-		for _, ch := range []Channel{RNGChannel(), LLCChannel(), MemBusChannel()} {
-			t, err := calibrated(ch)
-			if err != nil {
+		cfgs = []Config{DefaultConfig(), LLCConfig(), MemBusConfig()}
+	} else {
+		cfg, err := ConfigByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("covert: unknown channel %q (rng, llc, membus, combined)", name)
+		}
+		cfgs = []Config{cfg}
+	}
+	if tune != nil {
+		for i := range cfgs {
+			var err error
+			if cfgs[i], err = tune(cfgs[i]); err != nil {
 				return nil, err
 			}
-			children = append(children, t)
 		}
-		return multiFromChildren(children), nil
 	}
-	ch, err := ChannelByName(name)
-	if err != nil {
-		return nil, fmt.Errorf("covert: unknown channel %q (rng, llc, membus, combined)", name)
+	if name == CombinedChannelName {
+		return NewMultiTester(sched, voteBudget, cfgs...), nil
 	}
-	return calibrated(ch)
+	cfg := cfgs[0]
+	cfg.VoteBudget = voteBudget
+	return NewTester(sched, cfg), nil
 }
 
 // Rebudgeter is implemented by runners that can clone themselves at a new
@@ -189,14 +136,15 @@ type Rebudgeter interface {
 	Rebudget(voteBudget int) Runner
 }
 
-// Rebudget returns a new Tester on the same channel and configuration with
-// the vote budget replaced. Accumulated stats and the sink do not carry over.
-func (t *Tester) Rebudget(voteBudget int) Runner {
+// Rebudget returns a new Tester on the same configuration with the vote
+// budget replaced. Accumulated stats and the sink do not carry over.
+func (t *Tester) Rebudget(voteBudget int) Runner { return t.withBudget(voteBudget) }
+
+// withBudget is Rebudget with the concrete type.
+func (t *Tester) withBudget(voteBudget int) *Tester {
 	cfg := t.cfg
 	cfg.VoteBudget = voteBudget
-	nt := NewTester(t.sched, cfg)
-	nt.ch = t.ch
-	return nt
+	return NewTester(t.sched, cfg)
 }
 
 // MultiTester is the majority-combined multi-channel tester: every CTest
@@ -212,24 +160,23 @@ type MultiTester struct {
 	pair     [2]*faas.Instance
 }
 
-// NewMultiTester builds a MultiTester over the given channels, each wrapped
-// in its own Tester with the channel's tuned configuration plus voteBudget.
-func NewMultiTester(sched *simtime.Scheduler, voteBudget int, chs ...Channel) *MultiTester {
-	if len(chs) == 0 {
+// NewMultiTester builds a MultiTester over the given channel
+// configurations, each driving its own Tester with voteBudget applied.
+func NewMultiTester(sched *simtime.Scheduler, voteBudget int, cfgs ...Config) *MultiTester {
+	if len(cfgs) == 0 {
 		panic("covert: MultiTester needs at least one channel")
 	}
-	children := make([]*Tester, 0, len(chs))
-	for _, ch := range chs {
-		cfg := ch.Config()
+	children := make([]*Tester, len(cfgs))
+	for i, cfg := range cfgs {
 		cfg.VoteBudget = voteBudget
-		children = append(children, NewChannelTester(sched, ch, cfg))
+		children[i] = NewTester(sched, cfg)
 	}
 	return multiFromChildren(children)
 }
 
 // multiFromChildren assembles a MultiTester around already-built member
-// testers (NewMultiTester's tail, shared with the calibrated and re-budgeted
-// construction paths).
+// testers (NewMultiTester's tail, shared with the re-budgeted construction
+// path).
 func multiFromChildren(children []*Tester) *MultiTester {
 	m := &MultiTester{children: children}
 	// The combined Config is synthetic: verification layers read only
@@ -309,11 +256,7 @@ func (m *MultiTester) CTest(instances []*faas.Instance, thresh int) ([]bool, err
 func (m *MultiTester) Rebudget(voteBudget int) Runner {
 	children := make([]*Tester, len(m.children))
 	for i, c := range m.children {
-		cfg := c.cfg
-		cfg.VoteBudget = voteBudget
-		nt := NewTester(c.sched, cfg)
-		nt.ch = c.ch
-		children[i] = nt
+		children[i] = c.withBudget(voteBudget)
 	}
 	return multiFromChildren(children)
 }

@@ -7,51 +7,12 @@ import (
 	"eaao/internal/faas"
 )
 
-// The pluggable RNG channel must be indistinguishable from the historical
-// direct-resource path: two same-seed worlds, one driven through a plain
-// Tester and one through NewChannelTester(RNGChannel()), produce identical
-// verdicts round for round.
-func TestRNGChannelMatchesDirectPath(t *testing.T) {
-	plA, instsA := testWorld(t, 31, 80)
-	plB, instsB := testWorld(t, 31, 80)
-	direct := NewTester(plA.Scheduler(), DefaultConfig())
-	channel := NewChannelTester(plB.Scheduler(), RNGChannel(), DefaultConfig())
-	if direct.Channel() != nil {
-		t.Fatal("plain Tester carries a channel")
-	}
-	if channel.Channel() == nil || channel.Channel().Name() != "rng" {
-		t.Fatal("channel tester misconfigured")
-	}
-	for trial := 0; trial < 12; trial++ {
-		lo := (trial * 7) % (len(instsA) - 3)
-		a, err := direct.CTest(instsA[lo:lo+3], 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := channel.CTest(instsB[lo:lo+3], 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("trial %d instance %d: direct=%v channel=%v", trial, i, a[i], b[i])
-			}
-		}
-	}
-	if plA.Now() != plB.Now() {
-		t.Errorf("clocks diverged: %v vs %v", plA.Now(), plB.Now())
-	}
-	if direct.Stats() != channel.Stats() {
-		t.Errorf("stats diverged: %+v vs %+v", direct.Stats(), channel.Stats())
-	}
-}
-
 func TestLLCChannelClassifiesPairs(t *testing.T) {
 	pl, insts := testWorld(t, 32, 60)
 	if err := LLCConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	tester := NewChannelTester(pl.Scheduler(), LLCChannel(), LLCConfig())
+	tester := NewTester(pl.Scheduler(), LLCConfig())
 	coA, coB, farA, farB := findPairs(t, insts)
 	pos, err := tester.PairTest(insts[coA], insts[coB])
 	if err != nil {
@@ -75,7 +36,7 @@ func TestLLCChannelClassifiesPairs(t *testing.T) {
 
 func TestMultiTesterMajority(t *testing.T) {
 	pl, insts := testWorld(t, 33, 60)
-	mt := NewMultiTester(pl.Scheduler(), 0, RNGChannel(), LLCChannel(), MemBusChannel())
+	mt := NewMultiTester(pl.Scheduler(), 0, DefaultConfig(), LLCConfig(), MemBusConfig())
 	coA, coB, farA, farB := findPairs(t, insts)
 
 	wantDur := DefaultConfig().TestDuration + LLCConfig().TestDuration + MemBusConfig().TestDuration
@@ -160,7 +121,7 @@ func TestMultiTesterOutvotesTargetedCorruption(t *testing.T) {
 		t.Fatal("RNG tester found the pair through a certain false-negative storm")
 	}
 
-	mt := NewMultiTester(pl.Scheduler(), 0, RNGChannel(), LLCChannel(), MemBusChannel())
+	mt := NewMultiTester(pl.Scheduler(), 0, DefaultConfig(), LLCConfig(), MemBusConfig())
 	pos, err = mt.PairTest(insts[coA], insts[coB])
 	if err != nil {
 		t.Fatal(err)
@@ -225,27 +186,27 @@ func TestRunnerFor(t *testing.T) {
 	}
 }
 
-func TestChannelByName(t *testing.T) {
+func TestConfigByName(t *testing.T) {
 	for name, want := range map[string]faas.Resource{
 		"":       faas.ResourceRNG,
 		"rng":    faas.ResourceRNG,
 		"llc":    faas.ResourceLLC,
 		"membus": faas.ResourceMemBus,
 	} {
-		ch, err := ChannelByName(name)
+		cfg, err := ConfigByName(name)
 		if err != nil {
-			t.Fatalf("ChannelByName(%q): %v", name, err)
+			t.Fatalf("ConfigByName(%q): %v", name, err)
 		}
-		if ch.Config().Resource != want {
-			t.Errorf("ChannelByName(%q) = %v", name, ch.Config().Resource)
+		if cfg.Resource != want {
+			t.Errorf("ConfigByName(%q) = %v", name, cfg.Resource)
 		}
-		if err := ch.Config().Validate(); err != nil {
+		if err := cfg.Validate(); err != nil {
 			t.Errorf("channel %q config invalid: %v", name, err)
 		}
 	}
-	// "combined" is a Runner, not a Channel.
-	if _, err := ChannelByName("combined"); err == nil {
-		t.Error("ChannelByName accepted the combined selector")
+	// "combined" names a MultiTester, not a single channel.
+	if _, err := ConfigByName("combined"); err == nil {
+		t.Error("ConfigByName accepted the combined selector")
 	}
 }
 
@@ -257,8 +218,8 @@ func TestConfigRejectsUnknownResource(t *testing.T) {
 	}
 }
 
-// Per-channel TestEvent labels flow from the plain Tester too, so ledgers are
-// channel-dimensional regardless of construction path.
+// Per-channel TestEvent labels come from the tester's configured resource, so
+// ledgers are channel-dimensional however the tester was built.
 func TestPlainTesterLabelsEvents(t *testing.T) {
 	pl, insts := testWorld(t, 36, 10)
 	tester := NewTester(pl.Scheduler(), MemBusConfig())

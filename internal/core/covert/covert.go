@@ -138,11 +138,6 @@ type Tester struct {
 	sched *simtime.Scheduler
 	stats Stats
 	sink  Sink
-	// ch is the pluggable channel primitive (NewChannelTester). nil keeps
-	// the historical direct-resource path: tests go straight to
-	// faas.ContentionVotesInto on cfg.Resource, byte-identical to builds
-	// that predate the channel layer.
-	ch Channel
 
 	// votes is per-test scratch reused across CTests. pair backs PairTest's
 	// two-instance participant list; wins is majority-vote scratch for
@@ -163,20 +158,6 @@ func NewTester(sched *simtime.Scheduler, cfg Config) *Tester {
 
 // Config returns the tester's configuration.
 func (t *Tester) Config() Config { return t.cfg }
-
-// Channel returns the pluggable channel primitive the tester drives, or nil
-// on the historical direct-resource path.
-func (t *Tester) Channel() Channel { return t.ch }
-
-// channelName labels the tester's channel for observers. Both paths return
-// the resource name, so ledgers are channel-labeled regardless of how the
-// tester was built.
-func (t *Tester) channelName() string {
-	if t.ch != nil {
-		return t.ch.Name()
-	}
-	return t.cfg.Resource.String()
-}
 
 // Stats returns the accumulated cost counters.
 func (t *Tester) Stats() Stats { return t.stats }
@@ -239,13 +220,7 @@ func (t *Tester) singleCTest(instances []*faas.Instance, m, rep int) ([]bool, er
 	if len(instances) == 0 {
 		return nil, fmt.Errorf("covert: CTest of zero instances")
 	}
-	var votes []int
-	var err error
-	if t.ch != nil {
-		votes, err = t.ch.Votes(instances, m, t.cfg.Rounds, t.votes)
-	} else {
-		votes, err = faas.ContentionVotesInto(t.cfg.Resource, instances, m, t.cfg.Rounds, t.votes)
-	}
+	votes, err := faas.ContentionVotesInto(t.cfg.Resource, instances, m, t.cfg.Rounds, t.votes)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +244,7 @@ func (t *Tester) singleCTest(instances []*faas.Instance, m, rep int) ([]bool, er
 	}
 	if t.sink != nil {
 		t.sink.ObserveTest(TestEvent{
-			Channel:      t.channelName(),
+			Channel:      t.cfg.Resource.String(),
 			Participants: len(instances),
 			Positives:    positives,
 			Duration:     t.cfg.TestDuration,

@@ -2,6 +2,8 @@ package covert
 
 import (
 	"testing"
+
+	"eaao/internal/faas"
 )
 
 // TestMinMarginReported pins the TestEvent margin signal: on a quiet world
@@ -48,8 +50,8 @@ func TestCalibratedRunnerFor(t *testing.T) {
 	if cfg.VoteBudget != 3 {
 		t.Errorf("VoteBudget = %d", cfg.VoteBudget)
 	}
-	if tester.Channel() == nil || tester.Channel().Name() != "llc" {
-		t.Errorf("channel = %v", tester.Channel())
+	if cfg.Resource != faas.ResourceLLC {
+		t.Errorf("channel = %v", cfg.Resource)
 	}
 	if cfg.VoteThreshold < 1 || cfg.VoteThreshold > cfg.Rounds {
 		t.Errorf("calibrated threshold %d out of range", cfg.VoteThreshold)
@@ -86,7 +88,7 @@ func TestRebudget(t *testing.T) {
 	if clone.Config().VoteBudget != 5 || orig.Config().VoteBudget != 1 {
 		t.Errorf("budgets = %d/%d", clone.Config().VoteBudget, orig.Config().VoteBudget)
 	}
-	if clone.Channel() != orig.Channel() {
+	if clone.Config().Resource != orig.Config().Resource {
 		t.Error("channel not preserved")
 	}
 	if clone.Config().VoteThreshold != orig.Config().VoteThreshold {

@@ -10,8 +10,8 @@ import (
 // the historical per-Resource switch in the contention-round primitive, and
 // is where a channel's physics live — how long a round takes, how much
 // bandwidth the resource carries, and how its error rates respond to
-// unrelated tenants on the host. The covert package layers CTest
-// configurations and pluggable Channel primitives on top.
+// unrelated tenants on the host. The covert package layers one tuned CTest
+// configuration per family on top.
 
 // NumResources is the number of registered shared-resource families.
 // Per-channel state (host misfire windows, FaultPlan.PerChannel) is indexed

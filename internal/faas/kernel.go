@@ -10,7 +10,7 @@ import (
 
 // The per-instance lifecycle kernel.
 //
-// The legacy implementation (platform.go, scheduleChurnSweep) walked every
+// The original implementation, an hourly sweep, walked every
 // instance of the region once per simulated hour and flipped a Bernoulli coin
 // per instance for churn recycling and fault-plane preemption. That is O(fleet)
 // per hour regardless of how much actually happens — fine at paper scale
@@ -31,8 +31,7 @@ import (
 // Determinism: per-instance delays come from stateless hash draws
 // randx.Mix3(dc.lifeSeed, instance seq, draw#) — no per-instance generator
 // state, no draw-order coupling between instances, and the "lifecycle" seed
-// label is disjoint from every legacy stream, so a LegacySweeps world is
-// untouched. Event-heap ordering is deterministic (time, then insertion seq).
+// label is disjoint from every other stream. Event-heap ordering is deterministic (time, then insertion seq).
 //
 // Two deliberate semantic refinements over the sweep:
 //
@@ -56,7 +55,7 @@ import (
 //     never surfaces at all: the old timer stays armed across it, just as a
 //     between-sweeps blip was invisible to the hourly scan.)
 
-// lifecycleInterval is the legacy sweep period, reused by the kernel as the
+// lifecycleInterval is the original sweep period, reused by the kernel as the
 // new-instance immunity span: the first churn/preemption draw of an instance
 // happens at creation + lifecycleInterval + Exp(λ).
 const lifecycleInterval = time.Hour
@@ -147,11 +146,10 @@ func (dc *DataCenter) allocCohort() *lifeCohort {
 
 // scheduleLifecycle enrolls a new instance in the current nursery cohort,
 // opening one (and arming its boundary event) when this is the first
-// creation of the instant. No-op when both hazards are zero or the region
-// runs the legacy sweep.
+// creation of the instant. No-op when both hazards are zero.
 func (dc *DataCenter) scheduleLifecycle(inst *Instance, now simtime.Time) {
 	rate := dc.churnHazard + dc.preemptHazard
-	if rate <= 0 || dc.profile.LegacySweeps {
+	if rate <= 0 {
 		return
 	}
 	if dc.nursery == nil || dc.nurseryAt != now {
@@ -169,7 +167,7 @@ func (dc *DataCenter) scheduleLifecycle(inst *Instance, now simtime.Time) {
 // cohort, which arms it at the boundary.
 func (dc *DataCenter) resumeLifecycle(inst *Instance, now simtime.Time) {
 	rate := dc.churnHazard + dc.preemptHazard
-	if rate <= 0 || dc.profile.LegacySweeps || (inst.lifeEvent != nil && inst.lifeEvent.Pending()) {
+	if rate <= 0 || (inst.lifeEvent != nil && inst.lifeEvent.Pending()) {
 		return
 	}
 	if now.Sub(inst.createdAt) < lifecycleInterval {
@@ -256,7 +254,7 @@ func (i *Instance) HandleEvent(e *simtime.Event, now simtime.Time) {
 	if churn {
 		// recycle creates the replacement through createInstance, which arms
 		// a fresh timer with full immunity — a replacement can never be hit
-		// in the interval it was born, unlike under the legacy sweep.
+		// in the interval it was born, unlike under the original sweep.
 		i.service.recycle(i, now)
 		return
 	}
